@@ -32,7 +32,7 @@ import (
 )
 
 // setupProbes is how many fresh processes measure set-up per run.
-const setupProbes = 11
+const setupProbes = 41
 
 // metric is one reported value with its unit.
 type metric struct {
@@ -127,15 +127,14 @@ func newWorkload(name string, seed int64, dir string) (workload, error) {
 	return nil, fmt.Errorf("unknown workload %q (want suite, search or daemon)", name)
 }
 
-// timedRound is one round with its wall time, CPU time, peak resident
-// set, and the hypervisor steal time during it.
+// timedRound is one round with its wall time, CPU time and peak
+// resident set.
 type timedRound struct {
 	out     *roundOut
 	wall    time.Duration
 	cpu     time.Duration
 	rssMB   float64
 	resetOK bool
-	steal   time.Duration
 }
 
 // measureRound runs one round of w and measures it.
@@ -144,13 +143,13 @@ func measureRound(w workload, tr *tracer, parent int) (timedRound, error) {
 	// its peak does not depend on what earlier rounds left behind.
 	debug.FreeOSMemory()
 	ok := resetPeakRSS()
-	st0, cpu0, t0 := stealTime(), cpuTime(), time.Now()
+	cpu0, t0 := cpuTime(), time.Now()
 	out, err := w.round(tr, parent)
-	wall, cpu, steal := time.Since(t0), cpuTime()-cpu0, stealTime()-st0
+	wall, cpu := time.Since(t0), cpuTime()-cpu0
 	if err != nil {
 		return timedRound{}, err
 	}
-	return timedRound{out: out, wall: wall, cpu: cpu, rssMB: peakRSSMB(), resetOK: ok, steal: steal}, nil
+	return timedRound{out: out, wall: wall, cpu: cpu, rssMB: peakRSSMB(), resetOK: ok}, nil
 }
 
 // checkRounds verifies every report of every round and that all rounds,
@@ -239,11 +238,9 @@ func gated(w workload, name string, seed int64, seconds float64) (*result, error
 	fmt.Printf("  setup_s      %.4f s   median of %d fresh processes (IQR/median %.1f%%)\n", median(setups), len(setups), 100*spread(setups))
 	fmt.Printf("  wall_s       %.4f s   median of %d rounds (IQR/median %.1f%%)\n", median(walls), len(walls), 100*spread(walls))
 	fmt.Printf("  cpu_s        %.4f s   median of %d rounds\n", median(cpus), len(cpus))
-	steals := secondsOf(rounds, func(r timedRound) time.Duration { return r.steal })
-	fmt.Printf("  host steal   %.4f s   median per round; wall minus steal %.4f s\n", median(steals), median(secondsOf(rounds, func(r timedRound) time.Duration { return r.wall - r.steal })))
 	fmt.Printf("  peak_rss_mb  %.1f MB\n", median(rss))
 	fmt.Printf("  job_p50_s    %.4f s   p50 of %d jobs\n", median(lat), len(lat))
-	fmt.Printf("  job_tail_s   %.4f s   p%.1f of %d jobs (%d per round, >= 10 beyond it per round)\n",
+	fmt.Printf("  job_tail_s   %.4f s   p%.2f of %d jobs (%d per round)\n",
 		quantile(lat, tailQ), 100*tailQ, len(lat), len(rounds[0].out.latencies))
 	return res, nil
 }
@@ -326,11 +323,6 @@ func traced(w workload, name string, seed int64) (*result, error) {
 	if err != nil {
 		return res, fmt.Errorf("traced round against untraced: %w", err)
 	}
-	samples, err := parseProfile(prof.Bytes())
-	if err != nil {
-		return res, err
-	}
-
 	dir := filepath.Join(".bench_build", "trace")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return res, err
@@ -340,6 +332,10 @@ func traced(w workload, name string, seed int64) (*result, error) {
 		return res, err
 	}
 	if err := os.WriteFile(base+".cpu.pprof", prof.Bytes(), 0o644); err != nil {
+		return res, err
+	}
+	samples, err := readProfile(base + ".cpu.pprof")
+	if err != nil {
 		return res, err
 	}
 

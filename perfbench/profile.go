@@ -1,12 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"os"
+	"os/exec"
+	"strconv"
 	"strings"
 )
 
@@ -81,178 +80,51 @@ func bucketSeconds(samples []profSample) map[string]float64 {
 	return out
 }
 
-// parseProfile decodes a gzipped pprof protobuf CPU profile, as
-// runtime/pprof writes it, into samples. Only the fields bucketing needs
-// are read: sample types, samples, locations, functions and strings.
-func parseProfile(data []byte) ([]profSample, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+// readProfile returns the samples of a CPU profile file as the Go
+// toolchain's pprof prints them with -traces.
+func readProfile(path string) ([]profSample, error) {
+	cmd := exec.Command("go", "tool", "pprof", "-traces", "-unit=ns", path)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
+		return nil, fmt.Errorf("go tool pprof: %w", err)
 	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	type rawSample struct{ locs, values []uint64 }
-	var (
-		sampleTypes []uint64 // string index of each value's type
-		samples     []rawSample
-		locFuncs    = map[uint64][]uint64{} // location -> function IDs, innermost first
-		funcNames   = map[uint64]uint64{}   // function -> string index
-		strs        []string
-	)
-	err = eachField(raw, func(f int, v uint64, b []byte) error {
-		switch f {
-		case 1: // sample_type
-			return eachField(b, func(f int, v uint64, _ []byte) error {
-				if f == 1 {
-					sampleTypes = append(sampleTypes, v)
-				}
-				return nil
-			})
-		case 2: // sample
-			var s rawSample
-			err := eachField(b, func(f int, v uint64, b []byte) error {
-				switch f {
-				case 1:
-					return appendInts(&s.locs, v, b)
-				case 2:
-					return appendInts(&s.values, v, b)
-				}
-				return nil
-			})
-			samples = append(samples, s)
-			return err
-		case 4: // location
-			var id uint64
-			var fns []uint64
-			err := eachField(b, func(f int, v uint64, b []byte) error {
-				switch f {
-				case 1:
-					id = v
-				case 4: // line
-					return eachField(b, func(f int, v uint64, _ []byte) error {
-						if f == 1 {
-							fns = append(fns, v)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			locFuncs[id] = fns
-			return err
-		case 5: // function
-			var id, name uint64
-			err := eachField(b, func(f int, v uint64, _ []byte) error {
-				switch f {
-				case 1:
-					id = v
-				case 2:
-					name = v
-				}
-				return nil
-			})
-			funcNames[id] = name
-			return err
-		case 6: // string_table
-			strs = append(strs, string(b))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	str := func(i uint64) string {
-		if i < uint64(len(strs)) {
-			return strs[i]
-		}
-		return ""
-	}
-	// CPU profiles carry (samples, cpu nanoseconds); use the time.
-	vi := len(sampleTypes) - 1
-	for i, t := range sampleTypes {
-		if str(t) == "cpu" {
-			vi = i
-		}
-	}
-	out := make([]profSample, 0, len(samples))
-	for _, s := range samples {
-		if vi < 0 || vi >= len(s.values) {
+	return parseTraces(string(out))
+}
+
+// parseTraces reads the output of `go tool pprof -traces -unit=ns`:
+// after a header, each sample is a block that a "-----------+" line
+// opens. Its first line is the sample's CPU time and innermost frame,
+// and every further line one caller, outermost last.
+func parseTraces(text string) ([]profSample, error) {
+	var out []profSample
+	inSample := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "-----------+") {
+			inSample = false
 			continue
 		}
-		var stack []string
-		for _, l := range s.locs {
-			for _, fn := range locFuncs[l] {
-				stack = append(stack, str(funcNames[fn]))
-			}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
 		}
-		out = append(out, profSample{stack: stack, nanos: int64(s.values[vi])})
+		if inSample {
+			out[len(out)-1].stack = append(out[len(out)-1].stack, fields[0])
+			continue
+		}
+		v, ok := strings.CutSuffix(fields[0], "ns")
+		if !ok || len(fields) < 2 {
+			continue // a header line
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("pprof traces: sample time %q: %w", fields[0], err)
+		}
+		out = append(out, profSample{stack: []string{fields[1]}, nanos: n})
+		inSample = true
+	}
+	if len(out) == 0 {
+		return nil, errors.New("pprof traces: no samples")
 	}
 	return out, nil
-}
-
-// eachField walks a protobuf message, calling fn with each field's
-// number and either its varint value or its length-delimited bytes.
-func eachField(b []byte, fn func(field int, v uint64, data []byte) error) error {
-	for len(b) > 0 {
-		key, n := binary.Uvarint(b)
-		if n <= 0 {
-			return errors.New("profile: bad field key")
-		}
-		b = b[n:]
-		field, wire := int(key>>3), key&7
-		switch wire {
-		case 0:
-			v, n := binary.Uvarint(b)
-			if n <= 0 {
-				return errors.New("profile: bad varint")
-			}
-			b = b[n:]
-			if err := fn(field, v, nil); err != nil {
-				return err
-			}
-		case 1:
-			if len(b) < 8 {
-				return errors.New("profile: short fixed64")
-			}
-			b = b[8:]
-		case 2:
-			l, n := binary.Uvarint(b)
-			if n <= 0 || uint64(len(b)-n) < l {
-				return errors.New("profile: bad length")
-			}
-			data := b[n : n+int(l)]
-			b = b[n+int(l):]
-			if err := fn(field, 0, data); err != nil {
-				return err
-			}
-		case 5:
-			if len(b) < 4 {
-				return errors.New("profile: short fixed32")
-			}
-			b = b[4:]
-		default:
-			return fmt.Errorf("profile: wire type %d", wire)
-		}
-	}
-	return nil
-}
-
-// appendInts appends a repeated integer field, which the encoder writes
-// either one varint at a time (data == nil) or packed.
-func appendInts(dst *[]uint64, v uint64, data []byte) error {
-	if data == nil {
-		*dst = append(*dst, v)
-		return nil
-	}
-	for len(data) > 0 {
-		x, n := binary.Uvarint(data)
-		if n <= 0 {
-			return errors.New("profile: bad packed varint")
-		}
-		*dst = append(*dst, x)
-		data = data[n:]
-	}
-	return nil
 }

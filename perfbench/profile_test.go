@@ -1,128 +1,61 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"testing"
 )
 
-// pb is a minimal protobuf writer for building test profiles.
-type pb struct{ b []byte }
-
-func (p *pb) varint(field int, v uint64) {
-	p.b = binary.AppendUvarint(p.b, uint64(field)<<3)
-	p.b = binary.AppendUvarint(p.b, v)
-}
-
-func (p *pb) bytes(field int, data []byte) {
-	p.b = binary.AppendUvarint(p.b, uint64(field)<<3|2)
-	p.b = binary.AppendUvarint(p.b, uint64(len(data)))
-	p.b = append(p.b, data...)
-}
-
-func (p *pb) msg(field int, build func(*pb)) {
-	var m pb
-	build(&m)
-	p.bytes(field, m.b)
-}
-
-// packed writes a repeated integer field in packed form.
-func (p *pb) packed(field int, vs ...uint64) {
-	var data []byte
-	for _, v := range vs {
-		data = binary.AppendUvarint(data, v)
-	}
-	p.bytes(field, data)
-}
-
-// testProfile builds a gzipped CPU profile whose samples have the given
-// stacks (function names, innermost first) and CPU nanoseconds. Odd
-// samples use the unpacked encoding of repeated fields, even ones the
-// packed encoding, as the runtime's encoder mixes both.
-func testProfile(t *testing.T, stacks [][]string, nanos []uint64) []byte {
-	t.Helper()
-	strs := []string{"", "samples", "count", "cpu", "nanoseconds"}
-	strIdx := map[string]uint64{}
-	for i, s := range strs {
-		strIdx[s] = uint64(i)
-	}
-	intern := func(s string) uint64 {
-		if i, ok := strIdx[s]; ok {
-			return i
-		}
-		strs = append(strs, s)
-		strIdx[s] = uint64(len(strs) - 1)
-		return strIdx[s]
-	}
-	var p pb
-	p.msg(1, func(m *pb) { m.varint(1, strIdx["samples"]); m.varint(2, strIdx["count"]) })
-	p.msg(1, func(m *pb) { m.varint(1, strIdx["cpu"]); m.varint(2, strIdx["nanoseconds"]) })
-	funcs := map[string]uint64{}
-	for i, stack := range stacks {
-		var locs []uint64
-		for _, fn := range stack {
-			id, ok := funcs[fn]
-			if !ok {
-				id = uint64(len(funcs) + 1)
-				funcs[fn] = id
-				name := intern(fn)
-				p.msg(5, func(m *pb) { m.varint(1, id); m.varint(2, name) })
-				p.msg(4, func(m *pb) {
-					m.varint(1, id)
-					m.msg(4, func(l *pb) { l.varint(1, id); l.varint(2, 10) })
-				})
-			}
-			locs = append(locs, id)
-		}
-		p.msg(2, func(m *pb) {
-			if i%2 == 1 {
-				for _, l := range locs {
-					m.varint(1, l)
-				}
-				m.varint(2, 1)
-				m.varint(2, nanos[i])
-				return
-			}
-			m.packed(1, locs...)
-			m.packed(2, 1, nanos[i])
-		})
-	}
-	for _, s := range strs {
-		p.bytes(6, []byte(s))
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(p.b); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// fixedTraces is `go tool pprof -traces -unit=ns` output for nine
+// samples totalling 10 s of CPU time.
+const fixedTraces = `File: perfbench
+Type: cpu
+Duration: 10.52s, Total samples = 10000000000ns (95.06%)
+-----------+-------------------------------------------------------
+4000000000ns   repro/internal/cache.(*Cache).access
+             repro/internal/testbed.(*Testbed).Run
+             main.main
+-----------+-------------------------------------------------------
+1000000000ns   repro/internal/sim.(*RNG).Float64 (inline)
+             repro/internal/probe.(*Spy).Probe
+-----------+-------------------------------------------------------
+2000000000ns   runtime.scanobject
+             runtime.gcDrain
+             runtime.gcBgMarkWorker
+-----------+-------------------------------------------------------
+500000000ns   runtime.memmove
+             runtime.gcAssistAlloc
+             repro/internal/mem.NewAllocator
+-----------+-------------------------------------------------------
+500000000ns   runtime.mallocgc
+             repro/internal/mem.NewAllocator
+-----------+-------------------------------------------------------
+500000000ns   encoding/json.Marshal
+             repro/internal/runner.(*Report).WriteJSON
+-----------+-------------------------------------------------------
+250000000ns   repro/internal/scenario.Baseline
+             repro/internal/experiments.Fig6
+-----------+-------------------------------------------------------
+250000000ns   repro/internal/experiments.Fig6.func1[...]
+             repro/internal/runner.runTrial
+-----------+-------------------------------------------------------
+1000000000ns   repro/internal/cache.(*Cache).access
+             repro/internal/probe.(*Spy).Probe
+-----------+-------------------------------------------------------
+`
 
 func TestBucketSharesOfFixedProfile(t *testing.T) {
-	stacks := [][]string{
-		{"repro/internal/cache.(*Cache).access", "repro/internal/testbed.(*Testbed).Run", "main.main"},
-		{"repro/internal/sim.(*RNG).Float64", "repro/internal/probe.(*Spy).Probe"},
-		{"runtime.scanobject", "runtime.gcDrain", "runtime.gcBgMarkWorker"},
-		{"runtime.memmove", "runtime.gcAssistAlloc", "repro/internal/mem.NewAllocator"},
-		{"runtime.mallocgc", "repro/internal/mem.NewAllocator"},
-		{"encoding/json.Marshal", "repro/internal/runner.(*Report).WriteJSON"},
-		{"repro/internal/scenario.Baseline", "repro/internal/experiments.Fig6"},
-		{"repro/internal/experiments.Fig6.func1[...]", "repro/internal/runner.runTrial"},
-		{"repro/internal/cache.(*Cache).access", "repro/internal/probe.(*Spy).Probe"},
-	}
-	nanos := []uint64{4e9, 1e9, 2e9, 5e8, 5e8, 5e8, 2.5e8, 2.5e8, 1e9}
-	samples, err := parseProfile(testProfile(t, stacks, nanos))
+	samples, err := parseTraces(fixedTraces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != len(stacks) {
-		t.Fatalf("parsed %d samples, want %d", len(samples), len(stacks))
+	if len(samples) != 9 {
+		t.Fatalf("parsed %d samples, want 9", len(samples))
+	}
+	if got := samples[2].stack; len(got) != 3 || got[0] != "runtime.scanobject" || got[2] != "runtime.gcBgMarkWorker" {
+		t.Errorf("sample 2 stack = %q, want innermost first", got)
 	}
 	got := bucketSeconds(samples)
 	want := map[string]float64{
@@ -147,6 +80,12 @@ func TestBucketSharesOfFixedProfile(t *testing.T) {
 	}
 }
 
+func TestParseTracesRejectsEmptyProfile(t *testing.T) {
+	if _, err := parseTraces("File: perfbench\nType: cpu\n"); err == nil {
+		t.Error("a profile without samples parsed without error")
+	}
+}
+
 func TestFuncPackage(t *testing.T) {
 	for fn, want := range map[string]string{
 		"repro/internal/cache.(*Cache).access": "repro/internal/cache",
@@ -161,11 +100,15 @@ func TestFuncPackage(t *testing.T) {
 	}
 }
 
-// TestParseRuntimeProfile checks the parser against a profile the Go
-// runtime itself wrote.
-func TestParseRuntimeProfile(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
+// TestReadRuntimeProfile checks readProfile against a profile the Go
+// runtime itself wrote, read back through the toolchain's pprof.
+func TestReadRuntimeProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
 		t.Skip("CPU profiling unavailable:", err)
 	}
 	x := 0.0
@@ -173,8 +116,9 @@ func TestParseRuntimeProfile(t *testing.T) {
 		x += math.Sqrt(float64(i))
 	}
 	pprof.StopCPUProfile()
+	f.Close()
 	sink = x
-	samples, err := parseProfile(buf.Bytes())
+	samples, err := readProfile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,9 @@ def main():
     print(f"\n{'workload':10} {'metric':13} {'median':>10} {'IQR/median':>11} {'bound':>6}  n")
     for (name, metric), vs in values.items():
         med = statistics.median(vs)
+        if len(vs) < 2:
+            print(f"{name:10} {metric:13} {med:10.4f} {'-':>11} {bounds[metric]:6.2f}  {len(vs)}")
+            continue
         q = statistics.quantiles(vs, n=4)
         share = (q[2] - q[0]) / med if med else float("inf")
         print(f"{name:10} {metric:13} {med:10.4f} {100 * share:10.1f}% {bounds[metric]:6.2f}  {len(vs)}")

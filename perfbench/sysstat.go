@@ -75,27 +75,3 @@ func readRuntime() runtimeCounters {
 	}
 	return c
 }
-
-// stealTime is the time the hypervisor has kept this machine's virtual
-// CPUs from running, summed over CPUs, from the "steal" column of
-// /proc/stat (USER_HZ = 100 ticks per second); 0 where unavailable.
-func stealTime() time.Duration {
-	f, err := os.Open("/proc/stat")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return 0
-	}
-	fields := strings.Fields(sc.Text())
-	if len(fields) < 9 || fields[0] != "cpu" {
-		return 0
-	}
-	ticks, err := strconv.ParseInt(fields[8], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return time.Duration(ticks) * 10 * time.Millisecond
-}

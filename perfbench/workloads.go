@@ -37,8 +37,9 @@ type roundOut struct {
 	reports   []report
 	attempted int // units: experiments, candidates or jobs
 	failed    int
-	// latencies holds each dispatched unit's latency in seconds: a
-	// trial's wall time in-process, submit to report fetched for a job.
+	// latencies holds each job's latency in seconds: for the daemon,
+	// submit to report fetched; in-process, the round's one program
+	// call through its encoded report.
 	latencies []float64
 	trialsMS  []float64 // every executed trial's wall time
 	store     storeCounts
@@ -194,6 +195,7 @@ func suite(seed int64, tr *tracer, parent int, sink *trialSink) (*roundOut, erro
 	for i := range sel {
 		sel[i] = traceExperiment(tr, id, sel[i])
 	}
+	t0 := time.Now()
 	rep, err := runner.New(oneWorker(store, sink)).Run(sel, demoJob(seed, 1))
 	tr.end(id)
 	if err != nil {
@@ -203,11 +205,12 @@ func suite(seed int64, tr *tracer, parent int, sink *trialSink) (*roundOut, erro
 	if err != nil {
 		return nil, err
 	}
+	latency := time.Since(t0).Seconds()
 	return &roundOut{
 		reports:   []report{{name: "suite", schema: runner.SchemaVersion, units: len(sel), bytes: b}},
 		attempted: len(rep.Experiments),
 		failed:    rep.Failed(),
-		latencies: sink.walls,
+		latencies: []float64{latency},
 		trialsMS:  sink.ms(),
 		store:     countsOf(store),
 	}, nil
@@ -218,6 +221,7 @@ func frontier(seed int64, tr *tracer, parent int, sink *trialSink) (*roundOut, e
 	store := experiments.NewArtifactStore()
 	id := tr.begin("search.Run", "", parent)
 	sink.tr, sink.parent = tr, id
+	t0 := time.Now()
 	rep, err := search.Run(search.Options{
 		Scale:  experiments.Demo,
 		Seed:   seed,
@@ -232,11 +236,12 @@ func frontier(seed int64, tr *tracer, parent int, sink *trialSink) (*roundOut, e
 	if err != nil {
 		return nil, err
 	}
+	latency := time.Since(t0).Seconds()
 	return &roundOut{
 		reports:    []report{{name: "search", schema: search.SchemaVersion, units: rep.Evaluated, bytes: b}},
 		attempted:  rep.Evaluated,
 		failed:     rep.Failed(),
-		latencies:  sink.walls,
+		latencies:  []float64{latency},
 		trialsMS:   sink.ms(),
 		store:      countsOf(store),
 		candidates: rep.Evaluated,
