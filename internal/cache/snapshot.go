@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"strings"
 )
 
 // Snapshot is a deep value copy of a cache's mutable state: line metadata,
@@ -130,6 +131,9 @@ func (s *Snapshot) GobDecode(b []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
+	if err := w.validate(); err != nil {
+		return err
+	}
 	s.geometry = w.Geometry
 	s.nextID = w.NextID
 	s.stats = w.Stats
@@ -145,6 +149,39 @@ func (s *Snapshot) GobDecode(b []byte) error {
 				quota: w.Quota[i], lastAdapt: w.LastAdapt[i],
 				occupCycles: w.OccupCycles[i], lastUpd: w.LastUpd[i], hasIO: w.HasIO[i],
 			}
+		}
+	}
+	return nil
+}
+
+// validate checks a decoded snapshot against the geometry it claims (in
+// geometryKey's format), so a corrupt disk entry fails to decode and the
+// artifact store rebuilds, instead of panicking on a short slice or
+// restoring a partial cache.
+func (w *snapshotGob) validate() error {
+	var nslices, sets, ways int
+	if _, err := fmt.Sscanf(w.Geometry, "%dx%dx%d/", &nslices, &sets, &ways); err != nil ||
+		nslices <= 0 || sets <= 0 || ways <= 0 || nslices > 1<<20 || sets > 1<<20 || ways > 1<<10 {
+		return fmt.Errorf("cache: corrupt snapshot geometry %q", w.Geometry)
+	}
+	nlines := nslices * sets * ways
+	for _, n := range []int{len(w.Tags), len(w.Valid), len(w.Dirty), len(w.IO), len(w.Stamps)} {
+		if n != nlines {
+			return fmt.Errorf("cache: corrupt snapshot: %d-line field in %q", n, w.Geometry)
+		}
+	}
+	nsets := 0
+	if !strings.HasSuffix(w.Geometry, "/part=none") {
+		nsets = nslices * sets
+	}
+	for _, n := range []int{len(w.Quota), len(w.LastAdapt), len(w.OccupCycles), len(w.LastUpd), len(w.HasIO)} {
+		if n != nsets {
+			return fmt.Errorf("cache: corrupt snapshot: %d-set partition field in %q", n, w.Geometry)
+		}
+	}
+	for _, q := range w.Quota {
+		if q < 0 || q >= ways {
+			return fmt.Errorf("cache: corrupt snapshot: partition quota %d of %d ways", q, ways)
 		}
 	}
 	return nil

@@ -353,8 +353,10 @@ func NewDiskArtifactStoreCapped(dir string, maxBytes int64) (*ArtifactStore, err
 // zero-fills missing fields: a stale entry from an older binary would
 // otherwise *decode successfully* into subtly wrong machine state
 // instead of missing the cache and rebuilding. v2: probe.SpyState gained
-// the measurement strategy and its calibration quality signals.
-const artifactFormatVersion = "packetchasing-artifact/v2"
+// the measurement strategy and its calibration quality signals. v3:
+// mem.AllocatorState records the lazy shuffle (stream position, displaced
+// prefix entries, stack) instead of the full shuffled free list.
+const artifactFormatVersion = "packetchasing-artifact/v3"
 
 // rigPath is the disk location for a key: the hex SHA-256 of the
 // version-qualified content address (keys embed config dumps — too long

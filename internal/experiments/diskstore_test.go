@@ -120,6 +120,74 @@ func TestDiskStoreHealsCorruptEntries(t *testing.T) {
 	}
 }
 
+// gobBytes is a pre-encoded value that gob embeds verbatim where the
+// decoder expects a GobDecoder — the tool for crafting disk entries that
+// decode as gob but carry corrupt component state.
+type gobBytes []byte
+
+func (b gobBytes) GobEncode() ([]byte, error) { return b, nil }
+
+func gobOf(t *testing.T, v any) gobBytes {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDiskStoreHealsInconsistentState: an entry that is well-formed gob
+// but whose component state is impossible — a used frame beyond the
+// allocator's memory, a cache line table shorter than its geometry —
+// once panicked inside the component decoder, which gob re-panics, and
+// took the whole run down. It must read as a miss and be rebuilt.
+func TestDiskStoreHealsInconsistentState(t *testing.T) {
+	type allocWire struct {
+		Unshuffled, NumPages uint64
+		Used                 []uint64
+	}
+	type cacheWire struct {
+		Geometry string
+		Tags     []uint64
+		Valid    []bool
+	}
+	entries := map[string]any{
+		"allocator": struct{ Machine gobBytes }{gobOf(t, struct{ Alloc gobBytes }{
+			gobOf(t, allocWire{Unshuffled: 9, NumPages: 10, Used: []uint64{100}})})},
+		"cache": struct{ Machine gobBytes }{gobOf(t, struct{ Cache gobBytes }{
+			gobOf(t, cacheWire{Geometry: "1x1x4/ddio=true/2/part=none", Tags: make([]uint64, 4), Valid: []bool{true}})})},
+	}
+	for _, name := range []string{"allocator", "cache"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := NewDiskArtifactStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s1}); err != nil {
+				t.Fatal(err)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil || len(ents) != 1 {
+				t.Fatalf("expected one cache file, got %d (%v)", len(ents), err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), gobOf(t, entries[name]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := NewDiskArtifactStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := PrepareFig10(PrepareCtx{Scale: Demo, Seed: 3, Store: s2}); err != nil {
+				t.Fatalf("corrupt entry must rebuild, got %v", err)
+			}
+			if s2.Builds() != 1 || s2.DiskLoads() != 0 {
+				t.Fatalf("corrupt entry: builds=%d loads=%d, want 1/0", s2.Builds(), s2.DiskLoads())
+			}
+		})
+	}
+}
+
 // rigFileSize returns the size one persisted fig10 demo rig occupies, so
 // cap tests can be phrased in "N entries" instead of guessed byte counts.
 func rigFileSize(t *testing.T) int64 {

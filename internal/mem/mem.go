@@ -13,8 +13,11 @@ package mem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -43,57 +46,62 @@ func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
 // pseudo-random order to model the state of a long-running kernel buddy
 // allocator; sequential physical allocation would (unrealistically) give
 // the driver a perfectly uniform buffer-to-set mapping.
+//
+// That order is a Fisher–Yates shuffle of every frame, consumed from
+// the tail, but the shuffle runs lazily: rand.Shuffle fixes positions from
+// the tail down and AllocPage pops from the tail, so drawing each swap at
+// the moment its position is popped hands out exactly the frames, in
+// exactly the order, an eager shuffle at construction would. A 1 GiB
+// machine whose attack touches a few thousand pages therefore builds,
+// snapshots and restores in time and space proportional to those pages,
+// not to its 262,144 frames.
+//
+// The conceptual free list is the not-yet-shuffled prefix — positions
+// [0, unshuffled), holding frame p at position p unless displaced says
+// otherwise — followed by stack, the frames already fixed or freed.
 type Allocator struct {
-	free []uint64 // shuffled free frame numbers, consumed from the tail
-	// used is a frame-number bitmap. It replaced a map[uint64]bool: the
-	// bitmap allocs/frees without hashing, and — the reason it matters —
-	// snapshots and restores with a memcpy instead of a map rebuild,
-	// which sat on the warm-start clone path of every trial.
-	used     []bool
+	// rng is the private page-alloc stream; only shuffle steps draw it.
+	rng        *sim.RNG
+	unshuffled uint64
+	// displaced holds the prefix positions a shuffle swap moved another
+	// frame into; positions absent from it still hold their own frame.
+	displaced displacedTable
+	stack     []uint64 // fixed or freed frames, consumed from the tail
+	// used is a frame-number bitmap: alloc/free without hashing; a
+	// snapshot lists its set bits.
+	used     []uint64
 	numPages uint64
 }
 
 // NewAllocator creates an allocator over totalBytes of physical memory,
-// shuffled with the given RNG.
+// issuing frames in the order rng shuffles them. The allocator keeps rng
+// and is its only user.
 func NewAllocator(totalBytes uint64, rng *sim.RNG) *Allocator {
 	n := totalBytes / PageSize
 	if n == 0 {
 		panic("mem: allocator needs at least one page")
 	}
-	free := make([]uint64, n)
-	for i := range free {
-		free[i] = uint64(i)
-	}
-	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-	return &Allocator{free: free, used: make([]bool, n), numPages: n}
+	return &Allocator{rng: rng, unshuffled: n, used: make([]uint64, (n+63)/64), numPages: n}
 }
 
 // TotalPages returns the number of physical pages.
 func (al *Allocator) TotalPages() uint64 { return al.numPages }
 
 // FreePages returns the number of currently free pages.
-func (al *Allocator) FreePages() int { return len(al.free) }
+func (al *Allocator) FreePages() int { return int(al.unshuffled) + len(al.stack) }
 
-// NewAllocatorShell creates an allocator over totalBytes with no free
-// pages and no RNG work — a restore target. The expensive part of
-// NewAllocator is shuffling the free-frame list; a shell skips it because
-// Restore overwrites the list wholesale with the snapshot's exact order.
-// A shell that is never restored cannot allocate (every AllocPage fails).
-func NewAllocatorShell(totalBytes uint64) *Allocator {
-	n := totalBytes / PageSize
-	if n == 0 {
-		panic("mem: allocator needs at least one page")
-	}
-	return &Allocator{used: make([]bool, n), numPages: n}
-}
-
-// AllocatorState is a deep copy of an allocator's free/used bookkeeping,
-// taken by Snapshot and reapplied by Restore. The free list order is part
-// of the state: it determines every future allocation.
+// AllocatorState is a deep copy of an allocator's bookkeeping, taken by
+// Snapshot and reapplied by Restore. The free order is part of the state —
+// it determines every future allocation — and is captured as the shuffle
+// stream's position, the displaced prefix entries and the stack, so the
+// state's size tracks the pages touched rather than physical memory.
 type AllocatorState struct {
-	free     []uint64
-	used     []bool // frame-number bitmap, like Allocator.used
-	numPages uint64
+	rng        sim.RNGState
+	unshuffled uint64
+	displaced  displacedTable
+	stack      []uint64
+	used       []uint64 // used frames, ascending
+	numPages   uint64
 }
 
 // Snapshot captures the allocator's state. The returned value is immutable
@@ -110,33 +118,56 @@ func (al *Allocator) Snapshot() *AllocatorState {
 // artifact must be a fresh Snapshot(), since artifacts rely on snapshot
 // immutability.
 func (al *Allocator) SnapshotInto(st *AllocatorState) {
-	st.free = append(st.free[:0], al.free...)
-	st.used = append(st.used[:0], al.used...)
+	st.rng = sim.RNGState{}
+	if al.unshuffled > 0 {
+		// Once the prefix is gone the stream is never drawn again, so a
+		// drained allocator's state does not depend on it.
+		st.rng = al.rng.Snapshot()
+	}
+	st.unshuffled = al.unshuffled
+	st.displaced.copyFrom(&al.displaced)
+	st.stack = append(st.stack[:0], al.stack...)
+	st.used = slices.Grow(st.used[:0], int(al.numPages)-al.FreePages())
+	for i, word := range al.used {
+		for ; word != 0; word &= word - 1 {
+			st.used = append(st.used, uint64(i)*64+uint64(bits.TrailingZeros64(word)))
+		}
+	}
 	st.numPages = al.numPages
 }
 
 // allocatorStateGob mirrors AllocatorState with exported fields for the
-// disk-backed artifact store. Free-list order is preserved exactly (it
-// determines every future allocation); the used set is sorted for a
-// canonical encoding.
+// disk-backed artifact store. Displaced entries and used frames are listed
+// in ascending order for a canonical encoding; the stack keeps its order
+// (it determines every future allocation).
 type allocatorStateGob struct {
-	Free     []uint64
-	Used     []uint64
-	NumPages uint64
+	RNG                          sim.RNGState
+	Unshuffled                   uint64
+	DisplacedPos, DisplacedFrame []uint64
+	Stack                        []uint64
+	Used                         []uint64
+	NumPages                     uint64
 }
 
 // GobEncode serializes the allocator state (disk-backed warm starts).
 func (st *AllocatorState) GobEncode() ([]byte, error) {
 	w := allocatorStateGob{
-		Free:     st.free,
-		NumPages: st.numPages,
+		RNG:        st.rng,
+		Unshuffled: st.unshuffled,
+		Stack:      st.stack,
+		Used:       st.used,
+		NumPages:   st.numPages,
 	}
-	// Ascending bitmap order is already the sorted canonical encoding the
-	// map-backed implementation produced.
-	for pfn, u := range st.used {
-		if u {
-			w.Used = append(w.Used, uint64(pfn))
+	var disp []slot
+	for _, sl := range st.displaced.slots {
+		if sl.key != 0 {
+			disp = append(disp, sl)
 		}
+	}
+	slices.SortFunc(disp, func(a, b slot) int { return cmp.Compare(a.key, b.key) })
+	for _, sl := range disp {
+		w.DisplacedPos = append(w.DisplacedPos, sl.key-1)
+		w.DisplacedFrame = append(w.DisplacedFrame, sl.frame)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -145,43 +176,137 @@ func (st *AllocatorState) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode rebuilds allocator state from its serialized form.
+// GobDecode rebuilds allocator state from its serialized form. The input
+// comes off disk, so it is validated before anything is indexed: the
+// decoded state must partition the frames exactly — every frame free
+// (in the prefix or on the stack) or used, exactly once — or the decode
+// fails and the artifact store treats the entry as a miss.
 func (st *AllocatorState) GobDecode(b []byte) error {
 	var w allocatorStateGob
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
-	st.free = w.Free
-	st.numPages = w.NumPages
-	st.used = make([]bool, w.NumPages)
-	for _, pfn := range w.Used {
-		st.used[pfn] = true
+	n := w.NumPages
+	// Each shuffle step draws once, or again on int31n's rare rejection,
+	// so a stream position far past twice the steps taken is corruption —
+	// and restoring it would replay that many draws.
+	if n == 0 || w.Unshuffled > n || len(w.DisplacedPos) != len(w.DisplacedFrame) ||
+		w.Unshuffled+uint64(len(w.Stack))+uint64(len(w.Used)) != n || w.RNG.Draws > 2*(n-w.Unshuffled)+64 {
+		return fmt.Errorf("mem: corrupt allocator state (%d pages, %d unshuffled, %d/%d displaced, %d stacked, %d used, %d draws)",
+			n, w.Unshuffled, len(w.DisplacedPos), len(w.DisplacedFrame), len(w.Stack), len(w.Used), w.RNG.Draws)
 	}
+	for i, pos := range w.DisplacedPos {
+		if pos >= w.Unshuffled || (i > 0 && pos <= w.DisplacedPos[i-1]) {
+			return fmt.Errorf("mem: corrupt allocator state: displaced position %d", pos)
+		}
+	}
+	// With the counts summing to n, the frames partition [0, n) iff the
+	// listed ones are in range and distinct, and each one below
+	// Unshuffled sits at a displaced position (so it is not also the
+	// prefix's implicit entry at its own position).
+	listed := slices.Concat(w.DisplacedFrame, w.Stack, w.Used)
+	slices.Sort(listed)
+	for i, f := range listed {
+		_, displaced := slices.BinarySearch(w.DisplacedPos, f)
+		if f >= n || (i > 0 && f == listed[i-1]) || (f < w.Unshuffled && !displaced) {
+			return fmt.Errorf("mem: corrupt allocator state: frame %d out of range or listed twice", f)
+		}
+	}
+	st.rng = w.RNG
+	st.unshuffled = w.Unshuffled
+	st.displaced = displacedTable{}
+	for i, pos := range w.DisplacedPos {
+		st.displaced.set(pos, w.DisplacedFrame[i])
+	}
+	st.stack = w.Stack
+	st.used = w.Used
+	st.numPages = n
 	return nil
 }
 
 // Restore overwrites the allocator's state from a snapshot. It panics on a
 // memory-size mismatch (snapshots never move between machine shapes). The
 // copies reuse the allocator's existing backing arrays: once they have
-// grown to the free-list's size, repeated restores — the rig-pool lease
-// path runs one per warm trial — are pure memcpys with zero allocations.
+// grown to size, repeated restores — the rig-pool lease path runs one
+// per warm trial — allocate nothing.
 func (al *Allocator) Restore(st *AllocatorState) {
 	if st.numPages != al.numPages {
 		panic(fmt.Sprintf("mem: restoring %d-page snapshot into %d-page allocator", st.numPages, al.numPages))
 	}
-	al.free = append(al.free[:0], st.free...)
-	al.used = append(al.used[:0], st.used...)
+	if st.unshuffled > 0 {
+		al.rng.Restore(st.rng)
+	}
+	al.unshuffled = st.unshuffled
+	al.displaced.copyFrom(&st.displaced)
+	al.stack = append(al.stack[:0], st.stack...)
+	clear(al.used)
+	for _, pfn := range st.used {
+		al.used[pfn/64] |= 1 << (pfn % 64)
+	}
 }
 
-// AllocPage returns the base address of a newly allocated physical page.
+// AllocPage returns the base address of a newly allocated physical page:
+// the top of the stack, or else the next shuffled frame.
 func (al *Allocator) AllocPage() (Addr, error) {
-	if len(al.free) == 0 {
-		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
+	if n := len(al.stack); n > 0 {
+		pfn := al.stack[n-1]
+		al.stack = al.stack[:n-1]
+		al.used[pfn/64] |= 1 << (pfn % 64)
+		return Addr(pfn * PageSize), nil
 	}
-	pfn := al.free[len(al.free)-1]
-	al.free = al.free[:len(al.free)-1]
-	al.used[pfn] = true
+	return al.allocShuffled()
+}
+
+// allocShuffled runs one Fisher–Yates step — swap the last prefix position
+// with the drawn partner — and allocates the frame it fixes.
+func (al *Allocator) allocShuffled() (Addr, error) {
+	if al.unshuffled == 0 {
+		return 0, al.errExhausted()
+	}
+	last := al.unshuffled - 1
+	al.unshuffled = last
+	pfn := al.displaced.at(last)
+	al.displaced.del(last)
+	if last > 0 {
+		if j := uint64(al.rng.ShuffleIndex(int(last))); j != last {
+			moved := pfn
+			pfn = al.displaced.at(j)
+			al.displaced.set(j, moved)
+		}
+	}
+	al.used[pfn/64] |= 1 << (pfn % 64)
 	return Addr(pfn * PageSize), nil
+}
+
+func (al *Allocator) errExhausted() error {
+	return fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
+}
+
+// materialize finishes the shuffle, leaving the whole free list on the
+// stack in the order the lazy steps would have popped it.
+func (al *Allocator) materialize() {
+	k := al.unshuffled
+	if k == 0 {
+		return
+	}
+	m := len(al.stack)
+	al.stack = slices.Grow(al.stack, int(k))[:int(k)+m]
+	copy(al.stack[k:], al.stack[:m])
+	prefix := al.stack[:k]
+	for i := range prefix {
+		prefix[i] = uint64(i)
+	}
+	for _, sl := range al.displaced.slots {
+		if sl.key != 0 {
+			prefix[sl.key-1] = sl.frame
+		}
+	}
+	for i := len(prefix) - 1; i > 0; i-- {
+		j := al.rng.ShuffleIndex(i)
+		prefix[i], prefix[j] = prefix[j], prefix[i]
+	}
+	al.displaced.reset()
+	al.unshuffled = 0
 }
 
 // AllocPageRandom returns a page drawn uniformly from the free list. The
@@ -189,16 +314,18 @@ func (al *Allocator) AllocPage() (Addr, error) {
 // allocator preferring cache-hot pages), which would quietly defeat the
 // §VI-b ring-randomization defense: a "fresh" buffer would land on the
 // page just vacated. Randomized placement is the point of that defense,
-// so it allocates through this method.
+// so it allocates through this method. The draw indexes the full free
+// list, so the first call materializes it.
 func (al *Allocator) AllocPageRandom(rng *sim.RNG) (Addr, error) {
-	if len(al.free) == 0 {
-		return 0, fmt.Errorf("mem: out of physical pages (%d total)", al.numPages)
+	al.materialize()
+	if len(al.stack) == 0 {
+		return 0, al.errExhausted()
 	}
-	i := rng.Intn(len(al.free))
-	pfn := al.free[i]
-	al.free[i] = al.free[len(al.free)-1]
-	al.free = al.free[:len(al.free)-1]
-	al.used[pfn] = true
+	i := rng.Intn(len(al.stack))
+	pfn := al.stack[i]
+	al.stack[i] = al.stack[len(al.stack)-1]
+	al.stack = al.stack[:len(al.stack)-1]
+	al.used[pfn/64] |= 1 << (pfn % 64)
 	return Addr(pfn * PageSize), nil
 }
 
@@ -226,11 +353,14 @@ func (al *Allocator) FreePage(a Addr) {
 		panic(fmt.Sprintf("mem: freeing unaligned address %#x", uint64(a)))
 	}
 	pfn := uint64(a) / PageSize
-	if pfn >= al.numPages || !al.used[pfn] {
+	w, bit := pfn/64, uint64(1)<<(pfn%64)
+	// Bits past numPages are never set, so this also rejects frames
+	// beyond the end of memory.
+	if w >= uint64(len(al.used)) || al.used[w]&bit == 0 {
 		panic(fmt.Sprintf("mem: double free of frame %d", pfn))
 	}
-	al.used[pfn] = false
-	al.free = append(al.free, pfn)
+	al.used[w] &^= bit
+	al.stack = append(al.stack, pfn)
 }
 
 // Region is a contiguous virtual mapping owned by the spy process. The spy

@@ -130,6 +130,29 @@ func Derive(root int64, label string) *RNG {
 	return NewRNG(DeriveSeed(root, label))
 }
 
+// ShuffleIndex returns the swap partner rand.Shuffle draws for position i
+// (i >= 1), consuming exactly the draws Shuffle would. Shuffle fixes
+// positions from the tail down, so calling ShuffleIndex(n-1), then
+// ShuffleIndex(n-2), ... down to 1 and swapping as Shuffle does
+// reproduces Shuffle(n, swap) exactly — which lets a caller run the
+// shuffle one step at a time, only as far as it needs the result.
+func (r *RNG) ShuffleIndex(i int) int {
+	if i > 1<<31-1-1 {
+		return int(r.Int63n(int64(i + 1)))
+	}
+	// math/rand's unexported int31n, which Shuffle uses below 2^31.
+	n := uint32(i + 1)
+	prod := uint64(r.Uint32()) * uint64(n)
+	if low := uint32(prod); low < n {
+		thresh := -n % n
+		for low < thresh {
+			prod = uint64(r.Uint32()) * uint64(n)
+			low = uint32(prod)
+		}
+	}
+	return int(prod >> 32)
+}
+
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {

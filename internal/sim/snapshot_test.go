@@ -173,3 +173,56 @@ func TestClockSnapshotRestore(t *testing.T) {
 		t.Fatalf("clock at %d want 1200", c.Now())
 	}
 }
+
+// TestShuffleIndexMatchesShuffle: drawing ShuffleIndex(n-1) down to
+// ShuffleIndex(1) and swapping reproduces Shuffle(n) exactly, with the
+// same number of source draws. The huge sizes cover int31n's rejection
+// loop (n near 2^31 rejects often) and the Int63n branch above 2^31; a
+// panic stops Shuffle after its first steps so those runs stay cheap.
+func TestShuffleIndexMatchesShuffle(t *testing.T) {
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		for _, n := range []int{1, 2, 3, 5, 64, 1000, 4097} {
+			want := make([]int, n)
+			lazy := make([]int, n)
+			for i := range want {
+				want[i], lazy[i] = i, i
+			}
+			ref, r := NewRNG(seed), NewRNG(seed)
+			ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			for i := n - 1; i > 0; i-- {
+				j := r.ShuffleIndex(i)
+				lazy[i], lazy[j] = lazy[j], lazy[i]
+			}
+			for i := range want {
+				if want[i] != lazy[i] {
+					t.Fatalf("seed %d n %d: position %d = %d, Shuffle gave %d", seed, n, i, lazy[i], want[i])
+				}
+			}
+			if ref.Snapshot() != r.Snapshot() {
+				t.Fatalf("seed %d n %d: draws %v, Shuffle used %v", seed, n, r.Snapshot(), ref.Snapshot())
+			}
+		}
+		for _, n := range []int{3 << 29, 1<<31 - 1, 1 << 31, 1<<33 + 5} {
+			const steps = 64
+			var want []int
+			ref, r := NewRNG(seed), NewRNG(seed)
+			func() {
+				defer func() { _ = recover() }()
+				ref.Shuffle(n, func(_, j int) {
+					want = append(want, j)
+					if len(want) == steps {
+						panic("stop")
+					}
+				})
+			}()
+			for k, w := range want {
+				if j := r.ShuffleIndex(n - 1 - k); j != w {
+					t.Fatalf("seed %d n %d step %d: ShuffleIndex = %d, Shuffle drew %d", seed, n, k, j, w)
+				}
+			}
+			if ref.Snapshot() != r.Snapshot() {
+				t.Fatalf("seed %d n %d: draws %v, Shuffle used %v", seed, n, r.Snapshot(), ref.Snapshot())
+			}
+		}
+	}
+}

@@ -95,18 +95,18 @@ func (tb *Testbed) SnapshotInto(s *Snapshot) error {
 	return nil
 }
 
-// NewShell assembles a machine with no free-list shuffle, no ring/skb page
-// allocation, and no RNG warm-up — a restore target. A shell that is never
-// restored has an empty allocator and a zeroed ring and must not be used;
-// every clone path pairs it with Restore (or a variant), which overwrites
-// all of that wholesale.
+// NewShell assembles a machine with no ring/skb page allocation and no RNG
+// warm-up — a restore target. Its allocator and RNGs run on placeholder
+// streams and its ring is zeroed, so a shell that is never restored must
+// not be used; every clone path pairs it with Restore (or a variant),
+// which overwrites all of that wholesale.
 func NewShell(opts Options) (*Testbed, error) {
 	if opts.MemBytes == 0 {
 		opts.MemBytes = 1 << 30
 	}
 	clock := sim.NewClock()
 	c := cache.New(opts.Cache, clock)
-	alloc := mem.NewAllocatorShell(opts.MemBytes)
+	alloc := mem.NewAllocator(opts.MemBytes, sim.NewRNG(0))
 	n, err := nic.NewShell(opts.NIC, c, alloc, clock, sim.NewRNG(0))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
@@ -125,11 +125,11 @@ func NewShell(opts Options) (*Testbed, error) {
 
 // NewFromSnapshot builds an independent machine directly in a snapshot's
 // state — the warm-start clone path. Unlike New followed by Restore, it
-// assembles component shells (no free-list shuffle, no ring/skb/spy page
-// allocation, no RNG warm-up) since Restore overwrites all of that
-// wholesale; the result is state-identical to restoring into a
-// conventionally built testbed with the same options, just cheaper. One
-// immutable snapshot may be cloned concurrently any number of times.
+// assembles component shells (no ring/skb/spy page allocation, no RNG
+// warm-up) since Restore overwrites all of that wholesale; the result is
+// state-identical to restoring into a conventionally built testbed with
+// the same options, just cheaper. One immutable snapshot may be cloned
+// concurrently any number of times.
 func NewFromSnapshot(opts Options, s *Snapshot) (*Testbed, error) {
 	tb, err := NewShell(opts)
 	if err != nil {
